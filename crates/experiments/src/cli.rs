@@ -207,7 +207,10 @@ fn parse_flap(s: &str) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-fn parse_bw(s: &str) -> Result<u64, String> {
+/// Parse a bandwidth in bits/s with an optional `K`/`M`/`G` suffix
+/// (case-insensitive), e.g. `100M` or `10G`. Values that overflow `u64`
+/// are an error, not a wrapped link speed.
+pub fn parse_bw(s: &str) -> Result<u64, String> {
     let s = s.trim().to_ascii_uppercase();
     let (num, mult) = if let Some(x) = s.strip_suffix('G') {
         (x, 1_000_000_000u64)
@@ -218,7 +221,8 @@ fn parse_bw(s: &str) -> Result<u64, String> {
     } else {
         (s.as_str(), 1u64)
     };
-    num.parse::<u64>().map(|n| n * mult).map_err(|e| format!("bad bandwidth '{s}': {e}"))
+    let n = num.parse::<u64>().map_err(|e| format!("bad bandwidth '{s}': {e}"))?;
+    n.checked_mul(mult).ok_or_else(|| format!("bad bandwidth '{s}': overflows u64 bits/s"))
 }
 
 impl Cli {
@@ -360,6 +364,16 @@ mod tests {
         let cli = parse(&["--bw", "100M,1G"]).unwrap();
         assert_eq!(cli.bws, vec![100_000_000, 1_000_000_000]);
         assert!(parse(&["--bw", "12X"]).is_err());
+    }
+
+    #[test]
+    fn bw_overflow_is_an_error_not_a_wrap() {
+        // 99999999999 × 10^9 wraps u64 to a "7766279630452 Mbps" link.
+        let err = parse_bw("99999999999G").unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        assert!(parse(&["--bw", "100M,99999999999G"]).is_err());
+        assert_eq!(parse_bw("18446744073K"), Ok(18_446_744_073_000));
+        assert_eq!(parse_bw("18446744073709551615"), Ok(u64::MAX));
     }
 
     #[test]

@@ -33,18 +33,8 @@ use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use elephants_telemetry::{FlightRecord, FlightRecorder};
 use elephants_workload::{group_specs, plan_flows};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
-
-/// How many runs had a degenerate (zero-width) measurement window clamped
-/// away (see [`Runner::run`]). A nonzero value means some scenario was
-/// configured with `warmup >= duration`.
-static DEGENERATE_WINDOW_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of runs so far whose measurement window had to be clamped.
-pub fn degenerate_window_runs() -> u64 {
-    DEGENERATE_WINDOW_RUNS.load(Ordering::Relaxed)
-}
 
 /// Process-wide default invariant-checking mode, picked up by every
 /// [`Runner`] built after it is set (the CLI sets it from `--check` once,
@@ -521,17 +511,8 @@ fn run_one(
     elephants_workload::apply_start_offsets(&mut groups, &cfg.start_offsets());
     let groups = groups;
 
-    // A warmup at or past the end of the run would leave a zero-width
-    // measurement window, turning every windowed rate below into a division
-    // by zero (inf/NaN goodput). Clamp to "no warmup" and count the incident
-    // so sweeps can surface the misconfiguration.
-    let warmup = if cfg.duration <= cfg.warmup && !cfg.duration.is_zero() {
-        DEGENERATE_WINDOW_RUNS.fetch_add(1, Ordering::Relaxed);
-        elephants_netsim::SimDuration::ZERO
-    } else {
-        cfg.warmup
-    };
-    let sim_cfg = SimConfig { duration: cfg.duration, warmup, max_events: cfg.max_events };
+    let sim_cfg =
+        SimConfig { duration: cfg.duration, warmup: cfg.warmup, max_events: cfg.max_events };
     let mut sim = Simulator::new(topo, sim_cfg, seed);
     sim.set_check_mode(check);
 
@@ -886,17 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_window_is_clamped_not_inf() {
+    fn degenerate_window_is_rejected_not_run() {
+        // A zero-width measurement window would make every windowed rate a
+        // division by zero (inf/NaN goodput): the config is refused, not
+        // simulated.
         let mut cfg = quick_cfg(CcaKind::Reno, CcaKind::Reno, AqmKind::Fifo, 1.0, 100_000_000);
-        cfg.warmup = cfg.duration; // zero-width window as configured
-        let before = degenerate_window_runs();
-        let r = run_seeded(&cfg, 3);
-        assert!(degenerate_window_runs() > before, "clamp must be counted");
-        assert!(r.utilization.is_finite(), "φ = {}", r.utilization);
-        assert!(r.jain.is_finite(), "J = {}", r.jain);
-        assert!(r.sender_mbps.iter().all(|m| m.is_finite()), "{:?}", r.sender_mbps);
-        // With the warmup clamped away, the whole run is the window.
-        assert!(r.utilization > 0.0);
+        cfg.warmup = cfg.duration;
+        let err = Runner::new(&cfg).seed(3).run().unwrap_err();
+        assert_eq!(err.kind, RunErrorKind::InvalidConfig);
+        assert!(err.detail.contains("measurement window"), "{}", err.detail);
     }
 
     #[test]

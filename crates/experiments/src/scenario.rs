@@ -336,14 +336,39 @@ impl ScenarioConfig {
         }
     }
 
-    /// Validate the fault-injection knobs and watchdog budget.
+    /// Validate the physical parameters, fault-injection knobs and
+    /// watchdog budget.
     ///
     /// Must be called on every config loaded from outside the library
     /// (CLI flags, JSON fault-plan files) before it reaches a simulator:
     /// `Simulator::install_fault_plan` panics on invalid plans, and the
     /// run path degrades that panic into a failed cell rather than a
-    /// diagnosis.
+    /// diagnosis. A zero-rate link, zero-size segment, zero RTT, empty
+    /// run or empty measurement window would simulate something
+    /// meaningless instead of failing, so they are rejected here too.
     pub fn validate(&self) -> Result<(), String> {
+        if !(self.queue_bdp.is_finite() && self.queue_bdp > 0.0) {
+            return Err(format!("queue_bdp must be finite and > 0, got {}", self.queue_bdp));
+        }
+        if self.bw_bps == 0 {
+            return Err("bw_bps of zero: the bottleneck would never send".to_string());
+        }
+        if self.mss == 0 {
+            return Err("mss of zero: segments would carry no data".to_string());
+        }
+        if self.rtt_ms == 0 {
+            return Err("rtt_ms of zero: the path needs a propagation delay".to_string());
+        }
+        if self.duration.is_zero() {
+            return Err("duration of zero: nothing would be simulated".to_string());
+        }
+        if self.warmup >= self.duration {
+            return Err(format!(
+                "warmup {}s leaves no measurement window in a {}s run",
+                self.warmup.as_secs_f64(),
+                self.duration.as_secs_f64()
+            ));
+        }
         self.loss.validate()?;
         self.faults.validate()?;
         self.topology.validate()?;
@@ -667,6 +692,68 @@ mod tests {
         let mut zero_budget = base.clone();
         zero_budget.max_events = 0;
         assert!(zero_budget.validate().is_err());
+    }
+
+    fn paper_cell() -> ScenarioConfig {
+        let cfg = ScenarioConfig::new(
+            CcaKind::BbrV1,
+            CcaKind::Cubic,
+            AqmKind::Red,
+            2.0,
+            PAPER_BWS[0],
+            &RunOptions::standard(),
+        );
+        assert!(cfg.validate().is_ok());
+        cfg
+    }
+
+    fn rejected(edit: impl FnOnce(&mut ScenarioConfig), needle: &str) {
+        let mut cfg = paper_cell();
+        edit(&mut cfg);
+        let err = cfg.validate().expect_err(needle);
+        assert!(err.contains(needle), "'{err}' should mention '{needle}'");
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_or_non_finite_queue() {
+        for q in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            rejected(|c| c.queue_bdp = q, "queue_bdp");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_bandwidth() {
+        rejected(|c| c.bw_bps = 0, "bw_bps");
+    }
+
+    #[test]
+    fn validate_rejects_zero_mss() {
+        rejected(|c| c.mss = 0, "mss");
+    }
+
+    #[test]
+    fn validate_rejects_zero_rtt() {
+        rejected(|c| c.rtt_ms = 0, "rtt_ms");
+    }
+
+    #[test]
+    fn validate_rejects_zero_duration() {
+        rejected(
+            |c| {
+                c.duration = SimDuration::ZERO;
+                c.warmup = SimDuration::ZERO;
+            },
+            "duration of zero",
+        );
+    }
+
+    #[test]
+    fn validate_rejects_warmup_covering_the_run() {
+        rejected(|c| c.warmup = c.duration, "measurement window");
+        rejected(|c| c.warmup = c.duration + SimDuration::from_millis(1), "measurement window");
+        let mut cfg = paper_cell();
+        cfg.warmup = cfg.duration - SimDuration::from_millis(1);
+        assert!(cfg.validate().is_ok(), "a 1 ms window is still a window");
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! indexed by `seq - snd_una` — O(1) lookup, no allocation in steady state,
 //! and exact conservation accounting (every segment is in exactly one of
 //! the four states).
+//!
+//! Loss recovery is amortised O(1) per ACK and per retransmission. Three
+//! monotone floors (absolute sequence numbers) remember how far the
+//! recovery scans have already proven a state absent, so
+//! [`Scoreboard::detect_losses`], [`Scoreboard::next_lost`] and
+//! [`Scoreboard::first_inflight_tx_time`] resume where they stopped
+//! instead of rescanning from `snd_una`. Sacked is absorbing, so SACKs
+//! never invalidate a floor; only the operations that create an
+//! Outstanding, Lost or LostRetx segment below a floor lower it.
 
 use elephants_netsim::SimTime;
 
@@ -97,6 +106,15 @@ pub struct Scoreboard {
     n_lost_retx: usize,
     /// Highest sequence number SACKed so far (None until first SACK).
     highest_sacked: Option<u64>,
+    /// No Outstanding segment lies below this sequence.
+    outstanding_floor: u64,
+    /// No Lost segment lies below this sequence.
+    lost_floor: u64,
+    /// No Outstanding or LostRetx segment lies below this sequence.
+    inflight_floor: u64,
+    /// Entries visited by the recovery scans (amortisation regression test).
+    #[cfg(test)]
+    scan_steps: u64,
 }
 
 impl Scoreboard {
@@ -177,6 +195,21 @@ impl Scoreboard {
         }
     }
 
+    /// Count one entry visited by a recovery scan; compiled out of
+    /// non-test builds.
+    #[inline(always)]
+    fn scan_step(&mut self) {
+        #[cfg(test)]
+        {
+            self.scan_steps += 1;
+        }
+    }
+
+    /// Index of the first segment at or above the absolute sequence `floor`.
+    fn idx_from(&self, floor: u64) -> usize {
+        floor.saturating_sub(self.base) as usize
+    }
+
     fn set_state(&mut self, seq: u64, st: PktState) {
         let idx = (seq - self.base) as usize;
         let old = self.entries[idx].state;
@@ -242,7 +275,11 @@ impl Scoreboard {
 
     /// FACK-style loss marking: any Outstanding segment more than
     /// `dupthresh` below the highest SACK is lost. Invokes `f` per newly
-    /// lost segment; returns the count.
+    /// lost segment, in sequence order; returns the count.
+    ///
+    /// Scans only from the Outstanding floor to the cutoff, then lifts the
+    /// floor to the cutoff: every segment is passed over at most once
+    /// between reverts.
     pub fn detect_losses(&mut self, dupthresh: u64, mut f: impl FnMut(u64)) -> u64 {
         let Some(hs) = self.highest_sacked else { return 0 };
         // dupthresh == 0 would underflow below (debug panic, huge cutoff in
@@ -252,14 +289,19 @@ impl Scoreboard {
         let mut newly = 0;
         let base = self.base;
         let limit = cutoff.saturating_sub(base).min(self.entries.len() as u64) as usize;
-        for idx in 0..limit {
+        for idx in self.idx_from(self.outstanding_floor)..limit {
+            self.scan_step();
             if self.entries[idx].state == PktState::Outstanding {
                 let seq = base + idx as u64;
                 self.set_state(seq, PktState::Lost);
                 f(seq);
+                if newly == 0 {
+                    self.lost_floor = self.lost_floor.min(seq);
+                }
                 newly += 1;
             }
         }
+        self.outstanding_floor = self.outstanding_floor.max(base + limit as u64);
         newly
     }
 
@@ -275,11 +317,15 @@ impl Scoreboard {
                 reverted += 1;
             }
         }
+        // Outstanding segments may now lie anywhere.
+        self.outstanding_floor = self.base;
+        self.inflight_floor = self.base;
         reverted
     }
 
     /// Mark every non-SACKed segment lost (RTO recovery).
     pub fn mark_all_lost(&mut self) {
+        self.lost_floor = self.base;
         for idx in 0..self.entries.len() {
             let seq = self.base + idx as u64;
             match self.entries[idx].state {
@@ -293,22 +339,36 @@ impl Scoreboard {
     /// (Outstanding or LostRetx). Anchors the retransmission timer, so that
     /// a stalled head-of-line hole eventually times out even while later
     /// SACK-carrying ACKs keep arriving (Linux `tcp_rearm_rto` semantics).
-    pub fn first_inflight_tx_time(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .find(|m| matches!(m.state, PktState::Outstanding | PktState::LostRetx))
-            .map(|m| m.tx_time)
+    ///
+    /// Resumes from the in-flight floor and leaves it at the answer.
+    pub fn first_inflight_tx_time(&mut self) -> Option<SimTime> {
+        for idx in self.idx_from(self.inflight_floor)..self.entries.len() {
+            self.scan_step();
+            let m = &self.entries[idx];
+            if matches!(m.state, PktState::Outstanding | PktState::LostRetx) {
+                self.inflight_floor = self.base + idx as u64;
+                return Some(m.tx_time);
+            }
+        }
+        self.inflight_floor = self.snd_nxt();
+        None
     }
 
     /// Next lost segment to retransmit (lowest sequence first).
-    pub fn next_lost(&self) -> Option<u64> {
+    ///
+    /// Resumes from the Lost floor and leaves it at the answer.
+    pub fn next_lost(&mut self) -> Option<u64> {
         if self.n_lost == 0 {
             return None;
         }
-        self.entries
-            .iter()
-            .position(|m| m.state == PktState::Lost)
-            .map(|idx| self.base + idx as u64)
+        for idx in self.idx_from(self.lost_floor)..self.entries.len() {
+            self.scan_step();
+            if self.entries[idx].state == PktState::Lost {
+                self.lost_floor = self.base + idx as u64;
+                return Some(self.lost_floor);
+            }
+        }
+        unreachable!("n_lost > 0 but no Lost segment at or above the Lost floor")
     }
 
     /// Record the retransmission of `seq` with a fresh rate-sampler snapshot.
@@ -316,6 +376,7 @@ impl Scoreboard {
         let idx = (seq - self.base) as usize;
         debug_assert_eq!(self.entries[idx].state, PktState::Lost, "only lost segments are retransmitted");
         self.set_state(seq, PktState::LostRetx);
+        self.inflight_floor = self.inflight_floor.min(seq);
         let e = &mut self.entries[idx];
         e.tx_time = meta_update.tx_time;
         e.retx = true;
@@ -562,6 +623,36 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn sack_recovery_scans_are_amortised_constant() {
+        // A 2.5k-segment window whose first half is one hole. The second
+        // half's SACKs arrive one segment per ACK; every ACK runs loss
+        // detection, retransmits one hole segment and re-anchors the RTO,
+        // exactly as `TcpSender` does. Rescanning from snd_una makes the
+        // scan work quadratic (3.1M steps here); the floors keep it linear (6.2k).
+        const N: u64 = 2_500;
+        let mut sb = board_with(N);
+        let mut ops = 0u64;
+        let mut retransmitted = 0;
+        for seq in N / 2..N {
+            sb.apply_sack(seq, seq + 1, |_, _| {});
+            sb.detect_losses(3, |_| {});
+            if let Some(lost) = sb.next_lost() {
+                sb.mark_retransmitted(lost, meta(N + seq));
+                retransmitted += 1;
+            }
+            assert!(sb.first_inflight_tx_time().is_some());
+            ops += 4;
+        }
+        assert_eq!(retransmitted, N / 2, "one retransmission per ACK repairs the whole hole");
+        assert!(sb.check_conservation());
+        assert!(
+            sb.scan_steps <= 2 * (ops + N),
+            "{} scan steps for {ops} ops over {N} segments",
+            sb.scan_steps
+        );
     }
 
     #[test]

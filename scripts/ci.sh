@@ -33,7 +33,9 @@
 #                                termination, determinism, artifact
 #                                round-trip) plus a full replay of the
 #                                committed regression corpus; any finding
-#                                or corpus regression fails the lane
+#                                or corpus regression fails the lane; also
+#                                soaks the TCP property suite (scoreboard
+#                                vs naive reference model) at 20000 cases
 #   scripts/ci.sh --topo-smoke   also run the topology lane: the dumbbell
 #                                equivalence suite (byte-identical RunMetrics
 #                                and cache keys vs pre-topology fixtures), a
@@ -155,6 +157,10 @@ if [[ "$fuzz_smoke" -eq 1 ]]; then
     echo "fuzz smoke: corpus replay failed or corpus is empty" >&2
     exit 1
   fi
+  # The scoreboard's differential suite, deep: the amortised recovery
+  # floors must match the naive full-scan model on 20000 random op
+  # sequences (tier-1 runs the default 256).
+  ELEPHANTS_PROP_CASES=20000 cargo test -q --offline -p elephants-tcp --test properties
 fi
 
 if [[ "$topo_smoke" -eq 1 ]]; then
