@@ -1,5 +1,5 @@
-//! Engine micro-benchmarks: event heap, AQM hot paths, end-to-end
-//! simulation throughput (events/second).
+//! Engine micro-benchmarks: event heap, AQM hot paths, flight-record
+//! JSON codec, end-to-end simulation throughput (events/second).
 
 use elephants_aqm::{build_aqm, AqmKind};
 use elephants_bench::bench_scenario;
@@ -7,8 +7,10 @@ use elephants_bench::harness::{BenchmarkId, Criterion, Throughput};
 use elephants_bench::criterion_group;
 use elephants_cca::CcaKind;
 use elephants_experiments::Runner;
+use elephants_json::ToJson;
 use elephants_netsim::{Event, EventQueue, FlowId, NodeId, Packet, SimTime, TimerKind};
 use elephants_netsim::{SeedableRng, SmallRng};
+use elephants_telemetry::{FlightRecord, FlowPoint, QueuePoint, FLIGHT_RECORD_VERSION};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -65,6 +67,64 @@ fn bench_aqm_hot_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// A synthetic record shaped like a 10 s, 20-flow run sampled every
+/// 10 ms: 1,000 ticks of 20 flow rows plus one queue row, 21k samples.
+fn synthetic_record() -> FlightRecord {
+    const PHASES: [&str; 4] = ["probe_bw:1.25", "probe_bw:0.75", "congestion_avoidance", "drain"];
+    let mut flow_samples = Vec::new();
+    let mut queue_samples = Vec::new();
+    for tick in 1..=1_000u64 {
+        let t_s = tick as f64 * 0.01;
+        for flow in 0..20u32 {
+            let cwnd = 14_480 * (1 + (tick * 7 + flow as u64 * 13) % 400);
+            flow_samples.push(FlowPoint {
+                t_s,
+                flow,
+                cwnd,
+                pacing_bps: (flow % 2 == 0).then_some(cwnd * 8 * 16),
+                srtt_s: Some(0.062 + (tick % 17) as f64 * 1e-4),
+                inflight: cwnd * 3 / 4,
+                phase: PHASES[(tick as usize + flow as usize) % PHASES.len()].to_string(),
+                delivered_bytes: tick * 1_250_000 + flow as u64,
+                retx: tick / 9,
+            });
+        }
+        queue_samples.push(QueuePoint {
+            t_s,
+            link: 0,
+            backlog_pkts: tick % 300,
+            backlog_bytes: (tick % 300) * 1_500,
+            dropped: tick / 3,
+            marked: 0,
+            control: None,
+        });
+    }
+    FlightRecord {
+        schema_version: FLIGHT_RECORD_VERSION,
+        label: "BBRv1 vs CUBIC, fq_codel, 2 BDP, 1Gbps".into(),
+        seed: 1,
+        sample_interval_s: 0.01,
+        flow_samples,
+        queue_samples,
+        events: Vec::new(),
+        events_truncated: 0,
+    }
+}
+
+/// The flight-record text codec (untracked): serialize and re-parse the
+/// synthetic 21k-sample record.
+fn bench_record_codec(c: &mut Criterion) {
+    let record = synthetic_record();
+    let text = record.to_json_string();
+    let mut g = c.benchmark_group("record_codec");
+    g.throughput(Throughput::Bytes(text.len() as u64));
+    g.bench_function("serialize_21k", |b| b.iter(|| record.to_json_string().len()));
+    g.bench_function("parse_21k", |b| {
+        b.iter(|| FlightRecord::parse(&text).expect("synthetic record parses").flow_samples.len())
+    });
+    g.finish();
+}
+
 fn bench_sim_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation");
     g.sample_size(10);
@@ -100,7 +160,14 @@ fn bench_regression(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_aqm_hot_path, bench_sim_throughput, bench_regression);
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_aqm_hot_path,
+    bench_record_codec,
+    bench_sim_throughput,
+    bench_regression
+);
 
 // Hand-rolled main instead of `criterion_main!`: after the benches run, the
 // tracked measurements are folded into the BENCH_netsim.json trajectory and

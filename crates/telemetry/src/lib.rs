@@ -13,7 +13,7 @@
 //! `elephants-json`; the artifact carries [`FLIGHT_RECORD_VERSION`] so
 //! readers can reject records written by a different schema.
 
-use elephants_json::{impl_json_struct, FromJson, JsonError, Value};
+use elephants_json::{impl_json_struct, read_field, required, JsonError, Reader};
 use elephants_netsim::{
     FlowSample, QueueSample, Recorder, SimDuration, TraceEvent, TRACE_NO_FLOW,
 };
@@ -144,21 +144,71 @@ impl_json_struct!(FlightRecord {
     events_truncated,
 });
 
-/// Append `(name, 0)` to every object in a JSON array field unless the
-/// key is already present — the backfill primitive behind the versioned
-/// parser's upgrade path.
-fn backfill_zero(v: &mut Value, array_field: &str, name: &str) {
-    let Value::Object(fields) = v else { return };
-    let Some((_, Value::Array(rows))) = fields.iter_mut().find(|(k, _)| k == array_field) else {
-        return;
+/// Read one `flow_samples` row. The v3 counters may be absent (older
+/// records); they read as 0 and the first absent name is noted in
+/// `absent`, for [`FlightRecord::parse`] to judge against the version.
+fn read_flow_point(
+    r: &mut Reader<'_>,
+    absent: &mut Option<&'static str>,
+) -> Result<FlowPoint, JsonError> {
+    let (mut t_s, mut flow, mut cwnd, mut pacing_bps, mut srtt_s) = (None, None, None, None, None);
+    let (mut inflight, mut phase, mut delivered_bytes, mut retx) = (None, None, None, None);
+    r.read_object(|r, key| match key {
+        "t_s" => read_field(r, &mut t_s),
+        "flow" => read_field(r, &mut flow),
+        "cwnd" => read_field(r, &mut cwnd),
+        "pacing_bps" => read_field(r, &mut pacing_bps),
+        "srtt_s" => read_field(r, &mut srtt_s),
+        "inflight" => read_field(r, &mut inflight),
+        "phase" => read_field(r, &mut phase),
+        "delivered_bytes" => read_field(r, &mut delivered_bytes),
+        "retx" => read_field(r, &mut retx),
+        _ => r.skip_value(),
+    })?;
+    let mut backfill = |slot: Option<u64>, name: &'static str| {
+        slot.unwrap_or_else(|| {
+            absent.get_or_insert(name);
+            0
+        })
     };
-    for row in rows {
-        if let Value::Object(row_fields) = row {
-            if !row_fields.iter().any(|(k, _)| k == name) {
-                row_fields.push((name.to_string(), Value::Int(0)));
-            }
-        }
-    }
+    Ok(FlowPoint {
+        t_s: required(t_s, "t_s")?,
+        flow: required(flow, "flow")?,
+        cwnd: required(cwnd, "cwnd")?,
+        pacing_bps: required(pacing_bps, "pacing_bps")?,
+        srtt_s: required(srtt_s, "srtt_s")?,
+        inflight: required(inflight, "inflight")?,
+        phase: required(phase, "phase")?,
+        delivered_bytes: backfill(delivered_bytes, "delivered_bytes"),
+        retx: backfill(retx, "retx"),
+    })
+}
+
+/// Read one `queue_samples` row. `link` may be absent (v1 records); it
+/// reads as 0 and `absent` is set.
+fn read_queue_point(r: &mut Reader<'_>, absent: &mut bool) -> Result<QueuePoint, JsonError> {
+    let (mut t_s, mut link, mut backlog_pkts, mut backlog_bytes) = (None, None, None, None);
+    let (mut dropped, mut marked, mut control) = (None, None, None);
+    r.read_object(|r, key| match key {
+        "t_s" => read_field(r, &mut t_s),
+        "link" => read_field(r, &mut link),
+        "backlog_pkts" => read_field(r, &mut backlog_pkts),
+        "backlog_bytes" => read_field(r, &mut backlog_bytes),
+        "dropped" => read_field(r, &mut dropped),
+        "marked" => read_field(r, &mut marked),
+        "control" => read_field(r, &mut control),
+        _ => r.skip_value(),
+    })?;
+    *absent |= link.is_none();
+    Ok(QueuePoint {
+        t_s: required(t_s, "t_s")?,
+        link: link.unwrap_or(0),
+        backlog_pkts: required(backlog_pkts, "backlog_pkts")?,
+        backlog_bytes: required(backlog_bytes, "backlog_bytes")?,
+        dropped: required(dropped, "dropped")?,
+        marked: required(marked, "marked")?,
+        control: required(control, "control")?,
+    })
 }
 
 impl FlightRecord {
@@ -170,22 +220,61 @@ impl FlightRecord {
     /// goodput, not garbage), and v1 queue points predate multi-bottleneck
     /// `link` ids (backfilled to 0). The original `schema_version` is kept
     /// so provenance stays visible. Unknown (future) versions still fail.
+    ///
+    /// One streaming pass, whatever the version: keys may come in any
+    /// order, so rows note which upgradable fields they lacked and the
+    /// upgrade is judged once `schema_version` is known.
     pub fn parse(s: &str) -> Result<FlightRecord, JsonError> {
-        let mut v = elephants_json::parse(s)?;
-        let version = u32::from_json(v.get_field("schema_version")?)?;
+        let mut r = Reader::new(s);
+        let (mut version, mut label, mut seed, mut interval) = (None, None, None, None);
+        let (mut flows, mut queues, mut events, mut truncated) = (None, None, None, None);
+        let mut no_counter = None;
+        let mut no_link = false;
+        r.read_object(|r, key| match key {
+            "schema_version" => read_field(r, &mut version),
+            "label" => read_field(r, &mut label),
+            "seed" => read_field(r, &mut seed),
+            "sample_interval_s" => read_field(r, &mut interval),
+            "flow_samples" if flows.is_none() => {
+                flows = Some(r.read_array(|r| read_flow_point(r, &mut no_counter))?);
+                Ok(())
+            }
+            "queue_samples" if queues.is_none() => {
+                queues = Some(r.read_array(|r| read_queue_point(r, &mut no_link))?);
+                Ok(())
+            }
+            "events" => read_field(r, &mut events),
+            "events_truncated" => read_field(r, &mut truncated),
+            _ => r.skip_value(),
+        })?;
+        r.finish()?;
+        let version: u32 = required(version, "schema_version")?;
         if version == 0 || version > FLIGHT_RECORD_VERSION {
             return Err(JsonError::new(format!(
                 "flight record schema v{version} (reader supports v1..v{FLIGHT_RECORD_VERSION})"
             )));
         }
-        if version < 3 {
-            backfill_zero(&mut v, "flow_samples", "delivered_bytes");
-            backfill_zero(&mut v, "flow_samples", "retx");
+        let label = required(label, "label")?;
+        let seed = required(seed, "seed")?;
+        let sample_interval_s = required(interval, "sample_interval_s")?;
+        let flow_samples = required(flows, "flow_samples")?;
+        if let Some(name) = no_counter.filter(|_| version >= 3) {
+            return Err(JsonError::new(format!("missing field '{name}'")));
         }
-        if version < 2 {
-            backfill_zero(&mut v, "queue_samples", "link");
+        let queue_samples = required(queues, "queue_samples")?;
+        if no_link && version >= 2 {
+            return Err(JsonError::new("missing field 'link'"));
         }
-        FlightRecord::from_json(&v)
+        Ok(FlightRecord {
+            schema_version: version,
+            label,
+            seed,
+            sample_interval_s,
+            flow_samples,
+            queue_samples,
+            events: required(events, "events")?,
+            events_truncated: required(truncated, "events_truncated")?,
+        })
     }
 
     /// The distinct flow ids present, ascending.

@@ -35,7 +35,9 @@
 #                                committed regression corpus; any finding
 #                                or corpus regression fails the lane; also
 #                                soaks the TCP property suite (scoreboard
-#                                vs naive reference model) at 20000 cases
+#                                vs naive reference model) and the JSON
+#                                codec differential (streaming vs document
+#                                tree) at 20000 cases
 #   scripts/ci.sh --topo-smoke   also run the topology lane: the dumbbell
 #                                equivalence suite (byte-identical RunMetrics
 #                                and cache keys vs pre-topology fixtures), a
@@ -161,6 +163,10 @@ if [[ "$fuzz_smoke" -eq 1 ]]; then
   # floors must match the naive full-scan model on 20000 random op
   # sequences (tier-1 runs the default 256).
   ELEPHANTS_PROP_CASES=20000 cargo test -q --offline -p elephants-tcp --test properties
+  # The JSON codec's differential suite, deep: the streaming writers and
+  # readers must match the document-tree path on 20000 random values and
+  # mutated texts per property.
+  ELEPHANTS_PROP_CASES=20000 cargo test -q --offline -p integration-tests --test json_codec
 fi
 
 if [[ "$topo_smoke" -eq 1 ]]; then
